@@ -8,9 +8,9 @@ Ablation pairs quantify the PR-8 design decisions:
   pair measures what table-freedom costs per block, and the BFS pair what it
   costs across a full frontier sweep);
 * **chunked vs single block** — the degree-13 sampled distance estimator at
-  the default 1 Mi-pair blocks against one whole-sample block;
-* **numpy vs numba** — the batched Lehmer encode and the implicit block
-  kernel on the compiled backend, skipped when numba is not importable.
+  the default 1 Mi-pair blocks against one whole-sample block.
+
+Single rows time the batched Lehmer encode and the implicit block kernel.
 
 The ``heavy_bench`` row is the acceptance-scale case: the S_13 sampled
 distance distribution (6.2 G nodes, one million pairs) with no table in RAM
@@ -22,7 +22,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.backend import numba_available
 from repro.permutations.ranking import (
     implicit_neighbor_block,
     rank_batch,
@@ -35,16 +34,6 @@ from repro.topology.routing import (
     index_bfs_distances,
 )
 from repro.topology.star import StarGraph
-
-requires_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not importable (optional backend)"
-)
-
-
-@pytest.fixture()
-def numba_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "numba")
-
 
 @pytest.fixture(scope="module")
 def star7():
@@ -89,7 +78,7 @@ def test_index_bfs_s7_implicit_source(benchmark, star7, monkeypatch):
     assert int(np.asarray(distances).max()) == 9
 
 
-# ------------------------------------------------------- numpy-vs-numba pair
+# ------------------------------------------------------------ kernel rows
 @pytest.fixture(scope="module")
 def rank_batch_input():
     ranks = np.random.default_rng(13).integers(
@@ -99,39 +88,18 @@ def rank_batch_input():
 
 
 def test_rank_batch_s13_numpy(benchmark, rank_batch_input):
-    """Ablation (a): batched Lehmer encode of 100k degree-13 rows, NumPy."""
+    """Batched Lehmer encode of 100k degree-13 rows."""
     ranks, perms = rank_batch_input
-    out = benchmark(rank_batch, perms)
-    assert np.array_equal(out, ranks)
-
-
-@requires_numba
-def test_rank_batch_s13_numba(benchmark, rank_batch_input, numba_backend):
-    """Ablation (b): the same encode on the compiled per-row kernel."""
-    ranks, perms = rank_batch_input
-    rank_batch(perms)  # JIT warm-up round
     out = benchmark(rank_batch, perms)
     assert np.array_equal(out, ranks)
 
 
 def test_implicit_block_s9_numpy(benchmark):
-    """Ablation (a): a 50k-rank implicit S_9 neighbour block, NumPy."""
+    """A 50k-rank implicit S_9 neighbour block."""
     generators = star_position_generators(9)
     ranks = np.random.default_rng(9).integers(
         0, math.factorial(9), size=50_000, dtype=np.int64
     )
-    block = benchmark(implicit_neighbor_block, ranks, generators, 9)
-    assert block.shape == (50_000, 8)
-
-
-@requires_numba
-def test_implicit_block_s9_numba(benchmark, numba_backend):
-    """Ablation (b): the same block on the fused compiled kernel."""
-    generators = star_position_generators(9)
-    ranks = np.random.default_rng(9).integers(
-        0, math.factorial(9), size=50_000, dtype=np.int64
-    )
-    implicit_neighbor_block(ranks, generators, 9)  # JIT warm-up round
     block = benchmark(implicit_neighbor_block, ranks, generators, 9)
     assert block.shape == (50_000, 8)
 

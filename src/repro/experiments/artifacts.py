@@ -161,20 +161,16 @@ def environment_stamp() -> Dict[str, object]:
     -------
     dict
         Interpreter version/implementation, platform, machine and the NumPy
-        version in use (``None`` when running on the pure-Python fallbacks).
+        version in use.
     """
-    try:
-        import numpy
+    import numpy
 
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is present in CI
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
     }
 
 

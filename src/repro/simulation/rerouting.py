@@ -21,15 +21,12 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional, TYPE_CHECKING
 
+import numpy as _np
+
 from repro.exceptions import InvalidParameterError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topology.base import Topology
-
-try:  # NumPy is the fast path; every function keeps a pure-Python fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 __all__ = ["masked_bfs_distances", "masked_route"]
 
@@ -66,43 +63,27 @@ def masked_bfs_distances(topology: "Topology", origin_index: int, alive, *, chun
     -------
     distances
         Indexed by ``node_index``: hop count of the shortest surviving
-        detour, ``-1`` for dead or disconnected nodes.  NumPy ``int64``
-        array when NumPy is available, else a list of ints.
+        detour, ``-1`` for dead or disconnected nodes, as a NumPy ``int64``
+        array.
 
-    The NumPy path is the shared chunked frontier sweep
-    :func:`repro.topology.routing.index_bfs_distances` (memmap-friendly,
-    ``REPRO_BACKEND=numba``-dispatched) restricted to the alive mask, fed by
-    ``topology.neighbor_source()`` -- a materialised table or the table-free
-    implicit source, per ``REPRO_NEIGHBORS``.
+    This is the shared chunked frontier sweep
+    :func:`repro.topology.routing.index_bfs_distances` (memmap-friendly)
+    restricted to the alive mask, fed by ``topology.neighbor_source()`` -- a
+    materialised table or the table-free implicit source, per
+    ``REPRO_NEIGHBORS``.
     """
+    from repro.topology.routing import index_bfs_distances
+
     num_nodes = topology.num_nodes
-    if _np is not None:
-        from repro.topology.routing import index_bfs_distances
-
-        alive_mask = _np.asarray(alive, dtype=bool)
-        _check_alive_origin(alive_mask, origin_index, num_nodes)
-        return index_bfs_distances(
-            topology.neighbor_source(),
-            num_nodes,
-            origin_index,
-            alive_mask=alive_mask,
-            chunk_nodes=chunk_nodes,
-        )
-
-    table = topology.neighbor_index_table()
-    alive_list = [bool(flag) for flag in alive]
-    _check_alive_origin(alive_list, origin_index, num_nodes)
-    distances = [-1] * num_nodes
-    distances[origin_index] = 0
-    queue = deque([origin_index])
-    while queue:
-        current = queue.popleft()
-        next_level = distances[current] + 1
-        for neighbor in table[current]:
-            if neighbor >= 0 and alive_list[neighbor] and distances[neighbor] < 0:
-                distances[neighbor] = next_level
-                queue.append(neighbor)
-    return distances
+    alive_mask = _np.asarray(alive, dtype=bool)
+    _check_alive_origin(alive_mask, origin_index, num_nodes)
+    return index_bfs_distances(
+        topology.neighbor_source(),
+        num_nodes,
+        origin_index,
+        alive_mask=alive_mask,
+        chunk_nodes=chunk_nodes,
+    )
 
 
 def masked_route(
@@ -118,9 +99,7 @@ def masked_route(
     """
     table = topology.neighbor_index_table()
     num_nodes = topology.num_nodes
-    alive_list = (
-        _np.asarray(alive, dtype=bool) if _np is not None else [bool(f) for f in alive]
-    )
+    alive_list = _np.asarray(alive, dtype=bool)
     _check_alive_origin(alive_list, source_index, num_nodes)
     if not 0 <= target_index < num_nodes:
         raise InvalidParameterError(

@@ -3,7 +3,7 @@
 Three primitives, one process-global recorder:
 
 * :func:`span` -- a context manager timing one named operation
-  (``span("kernel.bfs", degree=9, backend=..., neighbor_source=...)``);
+  (``span("kernel.bfs", degree=9, neighbor_source=...)``);
 * :func:`add_counter` -- named increments (cache hits, store writes,
   quarantines), optionally carrying byte sizes;
 * :func:`set_gauge` -- instantaneous measurements (samples/sec).

@@ -9,11 +9,8 @@ the *application* opts in.  The CLI opts in at startup via
 reproduces the historical stderr lines (``[repro.tables] building ...``)
 exactly.
 
-Routed through here (PR 9):
-
-* the warn-once ``REPRO_BACKEND=numba``-requested-but-missing fallback
-  (:func:`repro.backend.use_numba`);
-* the >=256 MiB move-table build notice (:func:`repro.tables.build_move_tables`).
+Routed through here: the >=256 MiB move-table build notice
+(:func:`repro.tables.build_move_tables`).
 """
 
 from __future__ import annotations

@@ -417,19 +417,9 @@ class CayleyGraph(Topology):
         returned directly (:func:`repro.tables.stacked_neighbor_table`) --
         no dense copy.
         """
-        tables = self.move_tables()
-        try:
-            import numpy  # noqa: F401
-        except ImportError:  # pragma: no cover - NumPy absent
-            from array import array as _array
-
-            return [
-                _array("q", (table[rank] for table in tables))
-                for rank in range(self.num_nodes)
-            ]
         from repro.tables import stacked_neighbor_table
 
-        return stacked_neighbor_table(tables)
+        return stacked_neighbor_table(self.move_tables())
 
     # ------------------------------------------------------------------ dunder
     def __repr__(self) -> str:

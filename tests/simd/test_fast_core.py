@@ -18,6 +18,7 @@ import pytest
 from repro.algorithms import mesh_broadcast, odd_even_transposition_sort
 from repro.embedding.mesh_to_star import MeshToStarEmbedding
 from repro.embedding.paths import unit_route_paths
+from repro.exceptions import TableDegreeError
 from repro.permutations.generators import star_neighbors
 from repro.permutations.ranking import (
     all_permutations,
@@ -52,21 +53,6 @@ class TestMoveTables:
                 image = int(table[rank])
                 assert image != rank
                 assert int(table[image]) == rank
-
-    def test_python_fallback_matches_numpy_tables(self, monkeypatch):
-        import repro.permutations.ranking as ranking
-
-        if ranking._np is None:
-            pytest.skip("NumPy unavailable; the fallback IS the implementation")
-        fast = move_tables(5)
-        monkeypatch.setattr(ranking, "_np", None)
-        # The shared implementation (and its fallback) lives in move_tables_for;
-        # __wrapped__ bypasses the per-(generators, degree) cache.
-        slow = ranking.move_tables_for.__wrapped__(
-            ranking.star_position_generators(5), 5
-        )
-        for fast_table, slow_table in zip(fast, slow):
-            assert list(map(int, fast_table)) == list(slow_table)
 
     def test_star_graph_exposes_tables(self):
         star = StarGraph(4)
@@ -104,15 +90,11 @@ class TestDistancesFrom:
             for rank, target in enumerate(all_permutations(n)):
                 assert int(distances[rank]) == star_distance(origin, target)
 
-    def test_python_fallback_matches_vectorised(self, monkeypatch):
-        import repro.topology.routing as routing
-
-        if routing._np is None:
-            pytest.skip("NumPy unavailable; the fallback IS the implementation")
-        origin = (3, 1, 0, 2)
-        fast = list(map(int, star_distances_from(origin)))
-        monkeypatch.setattr(routing, "_np", None)
-        assert list(star_distances_from(origin)) == fast
+    def test_beyond_int64_rank_degree_raises(self):
+        # 21! overflows int64: the sweep must refuse at once, not start a
+        # loop over n! permutations.
+        with pytest.raises(TableDegreeError):
+            star_distances_from(tuple(range(21)))
 
     def test_star_graph_method_respects_diameter(self):
         star = StarGraph(6)

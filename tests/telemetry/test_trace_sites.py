@@ -66,7 +66,6 @@ class TestKernelSites:
         assert attrs["degree"] == 5
         assert attrs["num_nodes"] == 120
         assert attrs["tier"] == "dense"
-        assert attrs["backend"] in ("numpy", "numba")
         assert attrs["chunks"] >= 1
 
     def test_bfs_span_table_source(self, trace):
