@@ -99,13 +99,13 @@ def masked_route(
     """
     table = topology.neighbor_index_table()
     num_nodes = topology.num_nodes
-    alive_list = _np.asarray(alive, dtype=bool)
-    _check_alive_origin(alive_list, source_index, num_nodes)
+    alive_mask = _np.asarray(alive, dtype=bool)
+    _check_alive_origin(alive_mask, source_index, num_nodes)
     if not 0 <= target_index < num_nodes:
         raise InvalidParameterError(
             f"target index {target_index!r} outside [0, {num_nodes})"
         )
-    if not bool(alive_list[target_index]):
+    if not bool(alive_mask[target_index]):
         return None
     if target_index == source_index:
         return [source_index]
@@ -116,7 +116,7 @@ def masked_route(
         current = queue.popleft()
         for neighbor in table[current]:
             neighbor = int(neighbor)
-            if neighbor < 0 or not bool(alive_list[neighbor]):
+            if neighbor < 0 or not bool(alive_mask[neighbor]):
                 continue
             if parents[neighbor] >= 0:
                 continue
