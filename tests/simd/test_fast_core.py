@@ -13,6 +13,7 @@ Two families of guarantees:
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.algorithms import mesh_broadcast, odd_even_transposition_sort
@@ -24,8 +25,10 @@ from repro.permutations.ranking import (
     all_permutations,
     inversion_count,
     move_tables,
+    move_tables_for,
     permutation_rank,
     ranks_of,
+    star_position_generators,
 )
 from repro.simd.embedded import EmbeddedMeshMachine
 from repro.simd.masks import Mask
@@ -53,6 +56,16 @@ class TestMoveTables:
                 image = int(table[rank])
                 assert image != rank
                 assert int(table[image]) == rank
+
+    def test_uncached_build_matches_cached_int64_tables(self):
+        # __wrapped__ bypasses the per-(generators, degree) cache.
+        fresh = move_tables_for.__wrapped__(star_position_generators(5), 5)
+        for cached, built in zip(move_tables(5), fresh):
+            for table in (cached, built):
+                assert isinstance(table, np.ndarray)
+                assert table.dtype == np.int64
+                assert not table.flags.writeable
+            assert np.array_equal(cached, built)
 
     def test_star_graph_exposes_tables(self):
         star = StarGraph(4)
@@ -95,6 +108,13 @@ class TestDistancesFrom:
         # loop over n! permutations.
         with pytest.raises(TableDegreeError):
             star_distances_from(tuple(range(21)))
+
+    def test_smallest_degrees_return_int64_arrays(self):
+        for origin, expected in (((0,), [0]), ((1, 0), [1, 0])):
+            distances = star_distances_from(origin)
+            assert isinstance(distances, np.ndarray)
+            assert distances.dtype == np.int64
+            assert distances.tolist() == expected
 
     def test_star_graph_method_respects_diameter(self):
         star = StarGraph(6)

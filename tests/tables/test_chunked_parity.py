@@ -152,6 +152,13 @@ class TestBackendSelection:
         assert backend_name() == "numpy"
         assert use_numba() is False
 
+    def test_repro_backend_env_is_no_longer_read(self, monkeypatch):
+        # The retired knob neither selects nor validates anything now.
+        for value in ("numba", "cuda", "  NumPy "):
+            monkeypatch.setenv("REPRO_BACKEND", value)
+            assert backend_name() == "numpy"
+            assert use_numba() is False
+
 
 class TestResolveChunkNodes:
     def test_precedence_explicit_env_default(self, monkeypatch):
