@@ -16,10 +16,10 @@ lists -- and replayed with ``route_indexed`` gathers (conflict checking
 skipped: within one phase the parent-child pairs are a subset of the
 generator's perfect matching) and :meth:`~repro.simd.machine.SIMDMachine.apply_kernel`
 folds.  Because the plan consumes only ``move_tables()`` and the BFS sweep,
-the same program runs unchanged on every family --
-:class:`~repro.simd.cayley_machine.CayleyMachine` over pancake, bubble-sort
-or any transposition tree, and :class:`~repro.simd.star_machine.StarMachine`
-over the paper's star graph.
+the same program runs unchanged on every
+:class:`~repro.simd.cayley_machine.CayleyMachine` -- over the paper's star
+graph (:class:`~repro.simd.star_machine.StarMachine` is that instance),
+pancake, bubble-sort or any transposition tree.
 
 Registers and ledgers are bit-identical to the retained per-call references
 (:func:`repro.algorithms.reference.cayley_broadcast_tree` /
@@ -40,6 +40,7 @@ from repro.permutations.ranking import within_table_degree
 from repro.simd import kernels as _kernels
 from repro.simd.masks import Mask
 from repro.topology.base import Node, Topology
+from repro.topology.cayley import CayleyGraph
 from repro.topology.routing import bfs_distances_from
 
 __all__ = [
@@ -89,11 +90,7 @@ class GeneratorTreePlan:
 
 def _tree_supported(topology: Topology) -> bool:
     """True when *topology* carries the dense generator tables the plan needs."""
-    return (
-        hasattr(topology, "move_tables")
-        and hasattr(topology, "n")
-        and within_table_degree(topology.n)
-    )
+    return isinstance(topology, CayleyGraph) and within_table_degree(topology.n)
 
 
 @lru_cache(maxsize=64)
@@ -110,8 +107,8 @@ def generator_tree_plan(topology: Topology, root_index: int) -> GeneratorTreePla
 
     Parameters
     ----------
-    topology : Topology
-        A permutation Cayley topology exposing dense ``move_tables()``.
+    topology : CayleyGraph
+        A permutation Cayley graph within the dense move-table degrees.
     root_index : int
         Dense node id of the tree root.
 
@@ -123,7 +120,8 @@ def generator_tree_plan(topology: Topology, root_index: int) -> GeneratorTreePla
     Raises
     ------
     InvalidParameterError
-        If the topology has no dense move tables or is not connected.
+        If the topology is not a Cayley graph with dense move tables, or is
+        not connected.
     """
     if not _tree_supported(topology):
         raise InvalidParameterError(
@@ -167,10 +165,9 @@ def cayley_broadcast_tree(
 
     SIMD-A schedule: one generator per unit route, parents at depth ``d - 1``
     transmitting to their children at depth ``d``.  Runs on any machine over
-    a permutation Cayley topology with dense move tables
-    (:class:`~repro.simd.cayley_machine.CayleyMachine`,
-    :class:`~repro.simd.star_machine.StarMachine`); other machines take the
-    per-call reference path.
+    a :class:`~repro.topology.cayley.CayleyGraph` with dense move tables
+    (:class:`~repro.simd.cayley_machine.CayleyMachine`, the star machine
+    included); other machines take the per-call reference path.
 
     Parameters
     ----------

@@ -41,7 +41,6 @@ from repro.analysis.comparison import (
 from repro.experiments.artifacts import ArtifactSchema
 from repro.experiments.report import ExperimentResult
 from repro.simd.cayley_machine import CayleyMachine
-from repro.topology.cayley import TranspositionTreeGraph
 from repro.topology.properties import connectivity_after_faults, verify_regular
 
 __all__ = ["ARTIFACT_SCHEMA", "run"]
@@ -84,11 +83,6 @@ def run(degrees=(3, 4, 5), fault_trials: int = 5, seed: int = 9) -> ExperimentRe
         instances = measured_instances(degree)
         for family in MEASURED_FAMILIES:
             name, graph, _formula = instances[family]
-            if family == "star":
-                # Run the star graph as the star-tree instance of the
-                # transposition family: same nodes, neighbours and cached
-                # tables, but served by the generic Cayley machinery.
-                graph = TranspositionTreeGraph.star(degree + 1)
             row = measured[(degree, family)]
             regular = verify_regular(graph, degree)
 

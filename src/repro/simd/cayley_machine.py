@@ -1,19 +1,26 @@
-"""SIMD machine over an arbitrary permutation Cayley network.
+"""SIMD machine over a permutation Cayley network.
 
-:class:`CayleyMachine` is the generic sibling of
-:class:`~repro.simd.star_machine.StarMachine`: one PE per permutation of
-``0..n-1`` (dense register index = Lehmer rank) connected by the generator
-set of any :class:`~repro.topology.cayley.CayleyGraph` -- pancake,
-bubble-sort, any transposition tree.  Its :meth:`CayleyMachine.route_generator`
-is the same one-gather fast path the star machine uses
-(:meth:`~repro.simd.machine.SIMDMachine.route_matching_table`): the
-per-generator move table is validated once as a perfect matching
-(:mod:`repro.simd.generator_routes`) and every route, masked or not, replays
-as integer gathers with no per-move conflict bookkeeping.
+:class:`CayleyMachine` has one PE per permutation of ``0..n-1`` (dense
+register index = Lehmer rank) connected by the generator set of any
+:class:`~repro.topology.cayley.CayleyGraph` -- the paper's star graph,
+pancake, bubble-sort, any transposition tree.  The star machine
+(:class:`~repro.simd.star_machine.StarMachine`) is this machine over
+:class:`~repro.topology.star.StarGraph` with the paper's 1-based generator
+numbering.
 
-Because the machine interface is identical, the generator-scheduled
-broadcast/reduction programs in :mod:`repro.algorithms.cayley` run unchanged
-on every family; the star graph is just the star-tree instance.
+:meth:`CayleyMachine.route_generator` is the SIMD-A route "every active PE
+transmits along generator ``g``".  A generator is an involution, so its move
+table is a fixed-point-free involution of the ranks -- a perfect matching of
+the PEs -- and any subset of it is a conflict-free unit route.  The table is
+validated as a perfect matching once per machine and generator
+(:meth:`CayleyMachine._generator_table`), and every route, masked or not,
+replays as integer gathers
+(:meth:`~repro.simd.machine.SIMDMachine.route_matching_table`) with no
+per-move conflict bookkeeping.
+
+Because the machine interface is the same for every family, the
+generator-scheduled broadcast/reduction programs in
+:mod:`repro.algorithms.cayley` run unchanged on all of them.
 """
 
 from __future__ import annotations
@@ -21,10 +28,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.exceptions import InvalidParameterError
-from repro.permutations.ranking import within_table_degree
-from repro.simd.generator_routes import validated_matching
 from repro.simd.machine import SIMDMachine
-from repro.simd.masks import Mask, MaskSource
+from repro.simd.masks import MaskSource
 from repro.topology.cayley import CayleyGraph
 from repro.utils.validation import check_in_range
 
@@ -55,13 +60,22 @@ class CayleyMachine(SIMDMachine):
         return self.graph.n
 
     def _generator_table(self, generator: int) -> list:
-        """Move table for one generator as a plain int list, validated once."""
+        """Move table for one generator as a plain int list, validated once.
+
+        The table must be a fixed-point-free involution (``table[table[i]] ==
+        i`` and ``table[i] != i``), i.e. a perfect matching; that check
+        replaces the per-route conflict check of the generic path, since a
+        subset of a perfect matching can never conflict.
+        """
         table = self._generator_moves.get(generator)
         if table is None:
-            table = validated_matching(
-                self.graph.move_tables()[generator],
-                f"move table for generator {self.graph.generator_names[generator]}",
-            )
+            table = self.graph.move_tables()[generator].tolist()
+            if any(table[table[index]] != index or table[index] == index
+                   for index in range(len(table))):  # pragma: no cover - structural
+                raise AssertionError(
+                    f"move table for generator {self.graph.generator_names[generator]}"
+                    " is not a perfect matching"
+                )
             self._generator_moves[generator] = table
         return table
 
@@ -82,22 +96,10 @@ class CayleyMachine(SIMDMachine):
         stored in *destination_register*.
         """
         check_in_range(generator, "generator", 0, self.graph.num_generators - 1)
-        label = label or f"generator-{self.graph.generator_names[generator]}"
-        if not within_table_degree(self.n):
-            # No dense tables at this degree: route through the validated
-            # tuple-based generic path, mirroring StarMachine's fallback.
-            mask = Mask.coerce(self.topology, where)
-            moves = [
-                (node, self.graph.neighbor_along(node, generator))
-                for node in self._nodes
-                if mask.is_active(node)
-            ]
-            self.route_moves(source_register, destination_register, moves, label=label)
-            return
         self.route_matching_table(
             self._generator_table(generator),
             source_register,
             destination_register,
             where=where,
-            label=label,
+            label=label or f"generator-{self.graph.generator_names[generator]}",
         )

@@ -25,15 +25,18 @@ Concrete families:
 * :class:`BubbleSortGraph` -- the path-tree instance, with the Kendall-tau
   (inversion) closed form for distances and the ``n(n-1)/2`` diameter.
 
-:class:`~repro.topology.star.StarGraph` predates this module and keeps its
-hand-written closed forms (cycle-structure distances, greedy routing); the
-star *tree* instance here shares its cached move tables bit for bit, which the
-tests assert.
+The paper's :class:`~repro.topology.star.StarGraph` is the star-tree instance
+in the same way: a :class:`TranspositionTreeGraph` subclass that adds the
+paper's 1-based generator facade and its closed forms (cycle-structure
+distances, greedy routing).  :meth:`TranspositionTreeGraph.star` stays a plain
+0-based tree instance; both share the cached move tables bit for bit, which
+the tests assert.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import InvalidParameterError
@@ -46,7 +49,7 @@ from repro.permutations.ranking import (
     permutation_unrank,
 )
 from repro.topology.base import Node, Topology
-from repro.utils.validation import check_in_range, check_positive_int
+from repro.utils.validation import check_in_range, check_index, check_positive_int
 
 __all__ = [
     "CayleyGraph",
@@ -175,9 +178,9 @@ def bubble_sort_distance(source: Sequence[int], target: Sequence[int]) -> int:
 class CayleyGraph(Topology):
     """A Cayley graph of ``S_n`` for a set of involution generators.
 
-    Nodes are the permutations of ``0..n-1`` (dense id = Lehmer rank, exactly
-    as in :class:`~repro.topology.star.StarGraph`); node ``pi`` is adjacent to
-    ``tuple(pi[g[p]] for p in range(n))`` for every generator ``g``.  Because
+    Nodes are the permutations of ``0..n-1`` (dense id = Lehmer rank); node
+    ``pi`` is adjacent to ``tuple(pi[g[p]] for p in range(n))`` for every
+    generator ``g``.  Because
     the generators are involutions the graph is undirected, and every
     generator's move table is a perfect matching of the nodes -- the
     invariant :meth:`repro.simd.cayley_machine.CayleyMachine.route_generator`
@@ -227,6 +230,9 @@ class CayleyGraph(Topology):
         self._generator_index = {
             generator: i for i, generator in enumerate(self._generators)
         }
+        # One C-level gather per generator: ``neighbors`` is the per-node hot
+        # path of greedy broadcasts and tuple BFS walks.
+        self._moves = tuple(operator.itemgetter(*g) for g in self._generators)
 
     # ------------------------------------------------------------ properties
     @property
@@ -290,8 +296,7 @@ class CayleyGraph(Topology):
         """
         check_in_range(generator, "generator", 0, len(self._generators) - 1)
         node = self.validate_node(node)
-        g = self._generators[generator]
-        return tuple(node[p] for p in g)
+        return self._moves[generator](node)
 
     def neighbor_along(self, node: Node, generator: int) -> Node:
         """Alias of :meth:`apply_generator` (the edge along one generator)."""
@@ -300,9 +305,7 @@ class CayleyGraph(Topology):
     def neighbors(self, node: Node) -> List[Node]:
         """One neighbour per generator, in generator (table-column) order."""
         node = self.validate_node(node)
-        return [
-            tuple(node[p] for p in generator) for generator in self._generators
-        ]
+        return [move(node) for move in self._moves]
 
     def _relative_generator(self, u: Node, v: Node) -> Optional[Generator]:
         """The position permutation ``g`` with ``v = u o g``, if it is a generator."""
@@ -391,7 +394,8 @@ class CayleyGraph(Topology):
         Parameters
         ----------
         index : int
-            Dense node id (Lehmer rank) in ``0 .. n!-1``.
+            Dense node id (Lehmer rank) in ``0 .. n!-1``; NumPy integer
+            scalars are accepted, ``bool`` and non-integral numbers are not.
         generator : int
             0-based generator (table) index.
 
@@ -399,12 +403,14 @@ class CayleyGraph(Topology):
         -------
         int
             The neighbour's rank, read from the cached move table.
+
+        Raises
+        ------
+        InvalidParameterError
+            If *index* is not an integer in range or *generator* is invalid.
         """
         check_in_range(generator, "generator", 0, len(self._generators) - 1)
-        if not (0 <= index < self.num_nodes):
-            raise InvalidParameterError(
-                f"index must be in [0, {self.num_nodes}), got {index}"
-            )
+        index = check_index(index, "index", self.num_nodes)
         return int(self.move_tables()[generator][index])
 
     def _build_neighbor_index_table(self):
@@ -534,9 +540,11 @@ class TranspositionTreeGraph(TranspositionCayleyGraph):
     def star(cls, n: int) -> "TranspositionTreeGraph":
         """The star tree: position 0 joined to every other position.
 
-        The resulting network is (isomorphic and *identical* to) the paper's
-        ``S_n``: same nodes, same neighbour order, same cached move tables as
-        :class:`~repro.topology.star.StarGraph`.
+        The resulting network is the paper's ``S_n``: same generators,
+        neighbour order and cached move tables as
+        :class:`~repro.topology.star.StarGraph`, the subclass that adds the
+        paper's 1-based generator facade.  This plain instance keeps 0-based
+        generator indices.
         """
         check_positive_int(n, "n", minimum=2)
         return cls(n, tuple((0, j) for j in range(1, n)))

@@ -20,7 +20,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.topology.base import Node, Topology
 from repro.topology.routing import hypercube_distance, hypercube_route
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_index, check_positive_int
 
 __all__ = ["Hypercube"]
 
@@ -117,10 +117,7 @@ class Hypercube(Topology):
 
     def node_from_index(self, index: int) -> Node:
         """Inverse of :meth:`node_index`."""
-        if not (0 <= index < self.num_nodes):
-            raise InvalidParameterError(
-                f"index must be in [0, {self.num_nodes}), got {index}"
-            )
+        index = check_index(index, "index", self.num_nodes)
         return tuple((index >> dim) & 1 for dim in range(self._n))
 
     # ------------------------------------------------------------------ metric

@@ -52,7 +52,7 @@ class Mesh(Topology):
     >>> d4.degree((0, 0, 0))
     3
     >>> d4.degree((1, 1, 1))
-    6
+    5
     """
 
     def __init__(self, sides: Sequence[int]):

@@ -17,27 +17,26 @@ Key closed-form properties used by the paper (Section 2):
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.exceptions import InvalidParameterError
-from repro.permutations.generators import apply_star_generator, star_neighbors
-from repro.permutations.permutation import identity_permutation, is_permutation
-from repro.permutations.ranking import (
-    all_permutations,
-    move_tables,
-    permutation_rank,
-    permutation_unrank,
-)
-from repro.topology.base import Node, Topology
+from repro.permutations.ranking import move_tables
+from repro.topology.base import Node
+from repro.topology.cayley import TranspositionTreeGraph
 from repro.topology.routing import star_distance, star_distances_from, star_route
 from repro.utils.validation import check_in_range, check_positive_int
 
 __all__ = ["StarGraph"]
 
 
-class StarGraph(Topology):
+class StarGraph(TranspositionTreeGraph):
     """The ``n``-star graph ``S_n`` on ``n!`` permutation nodes.
+
+    The star-tree instance of the transposition family: generator ``g_j``
+    exchanges tuple positions 0 and ``j`` and is move-table column ``j - 1``.
+    Structure, rank indexing, move tables and adjacency sources come from
+    :class:`~repro.topology.cayley.CayleyGraph`; this class adds the paper's
+    1-based generator facade and the closed forms for distance, routing and
+    diameter.
 
     Parameters
     ----------
@@ -55,32 +54,13 @@ class StarGraph(Topology):
     3
     >>> s4.diameter()
     4
+    >>> s4.neighbor_along((0, 1, 2, 3), 2)
+    (2, 1, 0, 3)
     """
 
     def __init__(self, n: int):
         check_positive_int(n, "n", minimum=2)
-        self._n = n
-
-    # ------------------------------------------------------------ properties
-    @property
-    def n(self) -> int:
-        """The degree parameter ``n`` (number of symbols)."""
-        return self._n
-
-    @property
-    def num_nodes(self) -> int:
-        """``n!`` nodes."""
-        return math.factorial(self._n)
-
-    @property
-    def node_degree(self) -> int:
-        """Every node has degree ``n - 1`` (the graph is regular)."""
-        return self._n - 1
-
-    @property
-    def identity(self) -> Node:
-        """The identity permutation, the conventional 'origin' node."""
-        return identity_permutation(self._n)
+        super().__init__(n, tuple((0, j) for j in range(1, n)))
 
     @property
     def paper_origin(self) -> Node:
@@ -88,19 +68,6 @@ class StarGraph(Topology):
         return tuple(range(self._n - 1, -1, -1))
 
     # -------------------------------------------------------------- structure
-    def nodes(self) -> Iterator[Node]:
-        """All permutations of ``0..n-1`` in lexicographic order."""
-        return all_permutations(self._n)
-
-    def is_node(self, node: Sequence[int]) -> bool:
-        node = tuple(node)
-        return len(node) == self._n and is_permutation(node)
-
-    def neighbors(self, node: Node) -> List[Node]:
-        """The ``n - 1`` nodes reachable by one generator move (g_1 .. g_{n-1})."""
-        node = self.validate_node(node)
-        return star_neighbors(node)
-
     def _adjacent(self, u: Node, v: Node) -> bool:
         """Closed form: adjacent iff the tuples differ exactly at positions 0
         and some ``j`` with the two symbols exchanged (no neighbour list)."""
@@ -117,70 +84,26 @@ class StarGraph(Topology):
     def neighbor_along(self, node: Node, j: int) -> Node:
         """Apply generator ``g_j`` (exchange tuple positions 0 and ``j``).
 
-        This is the paper's notation ``pi^(i)`` with the paper's right-based
-        dimension ``i = n - 1 - j``.
+        ``j`` is 1-based: ``g_j`` is move-table column ``j - 1``.  This is the
+        paper's notation ``pi^(i)`` with the paper's right-based dimension
+        ``i = n - 1 - j``.
         """
-        node = self.validate_node(node)
-        return apply_star_generator(node, j)
+        check_in_range(j, "j", 1, self._n - 1)
+        return super().neighbor_along(node, j - 1)
 
     def generator_between(self, u: Node, v: Node) -> int:
-        """The generator index ``j`` with ``neighbor_along(u, j) == v``.
+        """The 1-based generator index ``j`` with ``neighbor_along(u, j) == v``.
 
-        Adjacent nodes differ exactly at tuple positions 0 and ``j`` with the
-        two symbols exchanged, so ``j`` is simply the position in *u* of *v*'s
-        front symbol -- no generator applications needed.
+        ``g_j`` is move-table column ``j - 1``.
 
         Raises
         ------
         InvalidParameterError
             If *u* and *v* are not adjacent.
         """
-        u = self.validate_node(u)
-        v = self.validate_node(v)
-        if u[0] != v[0]:
-            j = u.index(v[0])
-            if (
-                v[j] == u[0]
-                and all(u[i] == v[i] for i in range(1, self._n) if i != j)
-            ):
-                return j
-        raise InvalidParameterError(f"{u!r} and {v!r} are not adjacent in S_{self._n}")
-
-    @property
-    def num_edges(self) -> int:
-        """``n! * (n - 1) / 2`` edges."""
-        return math.factorial(self._n) * (self._n - 1) // 2
-
-    # --------------------------------------------------------------- indexing
-    def node_index(self, node: Node) -> int:
-        """Dense id: the lexicographic rank of the permutation (Lehmer code)."""
-        node = self.validate_node(node)
-        return permutation_rank(node)
-
-    def node_from_index(self, index: int) -> Node:
-        """Inverse of :meth:`node_index` (lexicographic unranking)."""
-        if not (0 <= index < self.num_nodes):
-            raise InvalidParameterError(
-                f"index must be in [0, {self.num_nodes}), got {index}"
-            )
-        return permutation_unrank(index, self._n)
+        return super().generator_between(u, v) + 1
 
     # ------------------------------------------------------------- fast core
-    def _build_neighbor_index_table(self):
-        """Closed-form adjacency index: the generator move tables as columns.
-
-        Column ``j - 1`` of the ``(n!, n - 1)`` table is ``move_tables()[j-1]``,
-        so row ``rank`` lists the neighbour ranks along ``g_1 .. g_{n-1}`` --
-        exactly the order of :meth:`neighbors`.  The graph is regular, so no
-        ``-1`` padding ever appears.  At the memmap-tier degrees the tables
-        are column views of one on-disk array, and that shared base *is* the
-        adjacency table -- no dense copy is stacked
-        (:func:`repro.tables.stacked_neighbor_table`).
-        """
-        from repro.tables import stacked_neighbor_table
-
-        return stacked_neighbor_table(move_tables(self._n))
-
     def move_tables(self) -> Tuple:
         """The per-degree generator move tables (cached, shared across instances).
 
@@ -190,29 +113,13 @@ class StarGraph(Topology):
         """
         return move_tables(self._n)
 
-    def neighbor_source(self):
-        """Adjacency source honouring ``REPRO_NEIGHBORS``.
-
-        ``auto`` serves the cached/memmap table through the table-tier
-        degrees and the table-free implicit source (``unrank -> g_j ->
-        rank``) beyond them; see
-        :func:`repro.topology.routing.permutation_neighbor_source`.
-        """
-        from repro.permutations.ranking import star_position_generators
-        from repro.topology.routing import permutation_neighbor_source
-
-        return permutation_neighbor_source(
-            star_position_generators(self._n), self._n, self.neighbor_index_table
-        )
-
     def neighbor_ranks(self, index: int, j: int) -> int:
-        """Rank of the neighbour of node *index* along generator ``g_j``."""
+        """Rank of the neighbour of node *index* along the 1-based generator ``g_j``.
+
+        ``g_j`` is move-table column ``j - 1``.
+        """
         check_in_range(j, "j", 1, self._n - 1)
-        if not (0 <= index < self.num_nodes):
-            raise InvalidParameterError(
-                f"index must be in [0, {self.num_nodes}), got {index}"
-            )
-        return int(move_tables(self._n)[j - 1][index])
+        return super().neighbor_ranks(index, j - 1)
 
     def distances_from(self, origin: Node):
         """Distances from *origin* to every node, indexed by rank.
@@ -249,11 +156,3 @@ class StarGraph(Topology):
     # ------------------------------------------------------------------ dunder
     def __repr__(self) -> str:
         return f"StarGraph(n={self._n})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StarGraph):
-            return NotImplemented
-        return self._n == other._n
-
-    def __hash__(self) -> int:
-        return hash(("StarGraph", self._n))

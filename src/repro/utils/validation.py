@@ -8,6 +8,7 @@ messages uniform and the call sites short.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 from repro.exceptions import InvalidParameterError
@@ -15,6 +16,7 @@ from repro.exceptions import InvalidParameterError
 __all__ = [
     "check_positive_int",
     "check_in_range",
+    "check_index",
     "check_sequence_of_ints",
     "check_probability",
 ]
@@ -58,6 +60,25 @@ def check_in_range(value: int, name: str, low: int, high: int) -> int:
     if not (low <= value <= high):
         raise InvalidParameterError(f"{name} must be in [{low}, {high}], got {value}")
     return value
+
+
+def check_index(value: object, name: str, size: int) -> int:
+    """Validate a dense index ``0 <= value < size``; return it as a plain ``int``.
+
+    NumPy integer scalars are accepted (through ``operator.index``); ``bool``
+    and non-integral numbers such as ``2.0`` are rejected.
+    """
+    if isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be an int, got bool")
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(
+            f"{name} must be an int, got {type(value).__name__}"
+        ) from None
+    if not (0 <= index < size):
+        raise InvalidParameterError(f"{name} must be in [0, {size}), got {value}")
+    return index
 
 
 def check_sequence_of_ints(values: Iterable[object], name: str) -> tuple:

@@ -31,6 +31,7 @@ from repro.topology.cayley import (
 )
 from repro.topology.hypercube import Hypercube
 from repro.topology.routing import bfs_distances_from
+from repro.topology.star import StarGraph
 
 
 def family_graphs():
@@ -38,6 +39,7 @@ def family_graphs():
         PancakeGraph(4),
         BubbleSortGraph(4),
         TranspositionTreeGraph.star(4),
+        StarGraph(4),
         TranspositionTreeGraph(5, ((0, 1), (1, 2), (1, 3), (3, 4))),
     ]
 

@@ -3,8 +3,9 @@
 The fast-core contract, extended to the whole Cayley family: the one-gather
 ``route_generator`` must be bit-identical -- registers and ledger -- to
 routing the same moves through the generic validated tuple path
-(``route_moves``), and the star-tree instance must behave exactly like the
-hand-written :class:`~repro.simd.star_machine.StarMachine`.
+(``route_moves``), and :class:`~repro.simd.star_machine.StarMachine` is the
+Cayley machine over the star graph, behaving exactly like the star-tree
+instance with 1-based generators.
 """
 
 import pytest
@@ -41,6 +42,12 @@ class TestConstruction:
 
         with pytest.raises(InvalidParameterError):
             CayleyMachine(Hypercube(3))
+
+    def test_star_machine_is_a_cayley_machine(self):
+        star = StarMachine(4)
+        assert isinstance(star, CayleyMachine)
+        assert star.graph is star.star
+        assert star.n == 4
 
     def test_graph_and_n_properties(self):
         machine = CayleyMachine(PancakeGraph(4))

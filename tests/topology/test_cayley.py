@@ -3,8 +3,8 @@
 Three layers of guarantees:
 
 * structural: generator sets are validated, the families have the documented
-  degrees/node counts, and the star-*tree* instance is identical (tables and
-  all) to the hand-written :class:`~repro.topology.star.StarGraph`;
+  degrees/node counts, and :class:`~repro.topology.star.StarGraph` is the
+  star-*tree* instance (tables and all);
 * closed forms: bubble-sort distances are Kendall-tau inversion counts
   (BFS-verified), diameters match the known pancake numbers and the
   ``n(n-1)/2`` bubble-sort formula;
@@ -17,6 +17,7 @@ Three layers of guarantees:
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.analysis.bounds import bubble_sort_diameter, pancake_diameter_known
@@ -127,6 +128,21 @@ class TestFamilyShapes:
                     pancake.neighbor_along(node, g)
                 )
 
+    @pytest.mark.parametrize("graph", [PancakeGraph(4), StarGraph(4)], ids=repr)
+    def test_neighbor_ranks_rejects_non_integral_index(self, graph):
+        # StarGraph's 1-based facade reaches the same check through super().
+        generator = 1 if isinstance(graph, StarGraph) else 0
+        for index in (True, False, 2.0, 1.5, "3", None, np.float64(3.0)):
+            with pytest.raises(InvalidParameterError):
+                graph.neighbor_ranks(index, generator)
+        for index in (-1, graph.num_nodes, np.int64(graph.num_nodes)):
+            with pytest.raises(InvalidParameterError):
+                graph.neighbor_ranks(index, generator)
+        expected = graph.neighbor_ranks(3, generator)
+        assert graph.neighbor_ranks(np.int64(3), generator) == expected
+        assert graph.neighbor_ranks(np.int32(3), generator) == expected
+        assert type(graph.neighbor_ranks(np.int64(3), generator)) is int
+
     def test_equality_and_hash(self):
         assert PancakeGraph(4) == PancakeGraph(4)
         assert PancakeGraph(4) != PancakeGraph(5)
@@ -142,6 +158,14 @@ class TestFamilyShapes:
 
 class TestStarTreeIsTheStarGraph:
     """Star = the star-tree instance of the transposition family."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_star_graph_is_a_transposition_tree(self, n):
+        star = StarGraph(n)
+        assert isinstance(star, TranspositionTreeGraph)
+        assert star.generators == TranspositionTreeGraph.star(n).generators
+        # Equality is by class: the 1-based facade is not the plain tree.
+        assert star != TranspositionTreeGraph.star(n)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_same_adjacency_and_tables(self, n):

@@ -1,5 +1,6 @@
 """Unit tests for repro.topology.hypercube."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
@@ -56,6 +57,16 @@ class TestIndexing:
     def test_out_of_range(self, cube3):
         with pytest.raises(InvalidParameterError):
             cube3.node_from_index(8)
+
+    @pytest.mark.parametrize("index", [True, False, 1.5, 2.0, "1", None])
+    def test_rejects_non_integral_index(self, cube3, index):
+        with pytest.raises(InvalidParameterError):
+            cube3.node_from_index(index)
+
+    def test_numpy_integer_index_gives_plain_int_bits(self, cube3):
+        node = cube3.node_from_index(np.int64(5))
+        assert node == (1, 0, 1)
+        assert all(type(bit) is int for bit in node)
 
 
 class TestMetric:
