@@ -12,6 +12,14 @@ Ablation pairs quantify the PR-10 design decisions:
 * a standing **S_13 depth-3 ball** row — the campaign building block at
   acceptance scale (1 531 of 6.2 G nodes, no table anywhere), plus one
   sampled fault-campaign trial point at S_7.
+* **translated vs swept** — an S_13 depth-4 healthy ball from a sampled
+  origin, as the translate of the cached identity ball
+  (:meth:`CayleyBall.translate`) against a fresh ``bounded_bfs_ball``
+  sweep (identical balls; the pair measures what the automorphism saves
+  per trial);
+* **local flood vs faulted sweep** — the same ball with 16 faults, flooded
+  over the ball-local adjacency table (:meth:`CayleyBall.flood`) against a
+  faulted ``bounded_bfs_ball`` sweep with the faults excluded.
 
 The ``heavy_bench`` row runs the full SAMPLED-FAULT default profile at
 S_13 on the implicit backend — the acceptance-scale campaign.
@@ -21,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.registry import run_experiment
-from repro.simulation.sampled_campaign import sampled_fault_campaign
+from repro.simulation.sampled_campaign import cayley_ball, sampled_fault_campaign
 from repro.simulation.sampling import sampled_pancake_estimate
 from repro.topology.routing import (
     ImplicitNeighborSource,
@@ -80,6 +88,55 @@ def test_bounded_ball_s13_implicit_depth3(benchmark):
     source = ImplicitNeighborSource(star_position_generators(13), 13)
     ball = benchmark(bounded_bfs_ball, source, 12345, max_depth=3)
     assert ball.size == 1531 and ball.truncated
+
+
+# ---------------------------------------- translated vs swept (S_13, depth 4)
+S13_ORIGIN = 2_613_000_000
+
+
+@pytest.fixture(scope="module")
+def s13_trial():
+    """The S_13 depth-4 engine, one origin's ball and 16 seeded faults in it."""
+    engine = cayley_ball(StarGraph(13), BALL_DEPTH)
+    healthy, order = engine.translate(S13_ORIGIN)
+    rng = np.random.default_rng(2613)
+    others = healthy.nodes[healthy.nodes != S13_ORIGIN]
+    faults = np.sort(rng.choice(others, size=16, replace=False))
+    excluded = np.zeros(healthy.size, dtype=bool)
+    excluded[order[np.searchsorted(healthy.nodes, faults)]] = True
+    source = ImplicitNeighborSource(star_position_generators(13), 13)
+    return engine, source, healthy, faults, excluded
+
+
+def test_healthy_ball_s13_swept(benchmark, s13_trial):
+    """Ablation (a): a fresh depth-4 sweep from the origin, table-free."""
+    _engine, source, healthy, _faults, _excluded = s13_trial
+    ball = benchmark(bounded_bfs_ball, source, S13_ORIGIN, max_depth=BALL_DEPTH)
+    assert np.array_equal(ball.nodes, healthy.nodes)
+
+
+def test_healthy_ball_s13_translated(benchmark, s13_trial):
+    """Ablation (b): the cached identity ball translated by the origin."""
+    engine, _source, healthy, _faults, _excluded = s13_trial
+    ball, _order = benchmark(engine.translate, S13_ORIGIN)
+    assert np.array_equal(ball.nodes, healthy.nodes) and ball.size == 14_511
+
+
+# ------------------------------------------ local flood vs faulted sweep
+def test_faulted_ball_s13_swept(benchmark, s13_trial):
+    """Ablation (a): the faulted depth-4 sweep with 16 faults excluded."""
+    _engine, source, _healthy, faults, _excluded = s13_trial
+    ball = benchmark(
+        bounded_bfs_ball, source, S13_ORIGIN, max_depth=BALL_DEPTH, excluded=faults
+    )
+    assert ball.truncated
+
+
+def test_faulted_ball_s13_local_flood(benchmark, s13_trial):
+    """Ablation (b): the same faults flooded over the ball-local table."""
+    engine, _source, _healthy, _faults, excluded = s13_trial
+    _distances, truncated = benchmark(engine.flood, excluded)
+    assert truncated
 
 
 def test_sampled_fault_point_s7(benchmark, star7):

@@ -382,20 +382,39 @@ def all_permutations_array(n: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def _popcounts(bits: int):
+    """Read-only ``int8`` table: entry ``v`` is the number of set bits of ``v``.
+
+    Covers every ``v < 2**bits``; built by doubling (the upper half of each
+    table is the lower half plus one).
+    """
+    table = _np.zeros(1, dtype=_np.int8)
+    for _ in range(bits):
+        table = _np.concatenate([table, table + 1])
+    table.setflags(write=False)
+    return table
+
+
 def _rank_rows_numpy(array):
     """The vectorised Lehmer encode of a validated-shape ``(m, n)`` array.
 
-    One comparison-sum per Lehmer digit position, accumulated against the
-    factorial base.
+    Lehmer digit ``i`` counts the later entries smaller than ``array[:, i]``,
+    i.e. ``array[:, i]`` minus the earlier entries smaller than it.  A per-row
+    bitmask of the symbols seen so far gives that count with one popcount
+    lookup per column: ``O(m * n)`` work instead of ``O(m * n**2)`` pairwise
+    comparisons.  Digits are accumulated against the factorial base.
     """
     m, n = array.shape
     fact = factorials(n)
+    popcounts = _popcounts(max(n - 1, 0))
+    seen = _np.zeros(m, dtype=_np.int64)
     ranks = _np.zeros(m, dtype=_np.int64)
     for i in range(n - 1):
-        smaller = (array[:, i + 1 :] < array[:, i : i + 1]).sum(
-            axis=1, dtype=_np.int64
-        )
-        ranks += smaller * fact[n - 1 - i]
+        symbol = array[:, i].astype(_np.int64)
+        bit = _np.left_shift(1, symbol)
+        ranks += (symbol - popcounts[seen & (bit - 1)]) * fact[n - 1 - i]
+        seen |= bit
     return ranks
 
 

@@ -44,7 +44,9 @@ from repro.simulation.campaign import (
 from repro.simulation.rerouting import masked_bfs_distances, masked_route
 from repro.simulation.sampled_campaign import (
     SAMPLED_CAMPAIGN_FAMILIES,
+    CayleyBall,
     SampledFaultPoint,
+    cayley_ball,
     sampled_campaign_instances,
     sampled_fault_campaign,
 )
@@ -88,6 +90,8 @@ __all__ = [
     "masked_route",
     "SAMPLED_CAMPAIGN_FAMILIES",
     "SampledFaultPoint",
+    "CayleyBall",
+    "cayley_ball",
     "sampled_campaign_instances",
     "sampled_fault_campaign",
     "SAMPLING_FAMILIES",

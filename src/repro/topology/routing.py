@@ -680,6 +680,29 @@ def _in_sorted(values, sorted_array):
     return sorted_array[positions] == values
 
 
+def _sorted_unique(values):
+    """``np.unique`` of an int64 array as sort plus adjacent-difference mask.
+
+    Same result; NumPy 2.x routes integer ``np.unique`` through a hash table
+    that is over an order of magnitude slower on frontier-sized arrays.
+    """
+    values = _np.sort(values)
+    if values.size:
+        first = _np.empty(values.size, dtype=bool)
+        first[0] = True
+        _np.not_equal(values[1:], values[:-1], out=first[1:])
+        values = values[first]
+    return values
+
+
+#: Truncation-probe schedule: the first probe block holds this many frontier
+#: nodes and each later block ``_PROBE_GROWTH`` times more (capped at the
+#: chunk size), so a probe that finds an unvisited neighbour early stops
+#: after a few small blocks.
+_PROBE_FIRST_BLOCK = 64
+_PROBE_GROWTH = 4
+
+
 def bounded_bfs_ball(
     source,
     origin_index: int,
@@ -766,7 +789,7 @@ def bounded_bfs_ball(
                     frontier[start : start + chunk]
                 ).reshape(-1)
                 blocks.append(candidates[candidates >= 0])
-            candidates = _np.unique(_np.concatenate(blocks))
+            candidates = _sorted_unique(_np.concatenate(blocks))
             keep = ~_in_sorted(candidates, visited)
             if excluded.size:
                 keep &= ~_in_sorted(candidates, excluded)
@@ -779,19 +802,22 @@ def bounded_bfs_ball(
                 level -= 1
                 break
         if level == max_depth and frontier.size:
-            # The cap stopped the sweep, not the graph: expand the last
-            # frontier one probe level to learn whether anything lies beyond.
-            unknown = []
-            for start in range(0, frontier.size, chunk):
+            # The cap stopped the sweep, not the graph: probe the last
+            # frontier block by block until one neighbour lies beyond it.
+            # Only a ball with nothing beyond the cap probes every node.
+            start = 0
+            block = min(_PROBE_FIRST_BLOCK, chunk)
+            while start < frontier.size and not truncated:
                 candidates = neighbor_source.neighbor_block(
-                    frontier[start : start + chunk]
+                    frontier[start : start + block]
                 ).reshape(-1)
-                unknown.append(candidates[candidates >= 0])
-            candidates = _np.unique(_np.concatenate(unknown))
-            keep = ~_in_sorted(candidates, visited)
-            if excluded.size:
-                keep &= ~_in_sorted(candidates, excluded)
-            truncated = bool(candidates[keep].size)
+                candidates = candidates[candidates >= 0]
+                keep = ~_in_sorted(candidates, visited)
+                if excluded.size:
+                    keep &= ~_in_sorted(candidates, excluded)
+                truncated = bool(keep.any())
+                start += block
+                block = min(block * _PROBE_GROWTH, chunk)
         nodes = _np.concatenate(level_arrays)
         distances = _np.repeat(
             _np.arange(len(level_sizes), dtype=_np.int64), level_sizes

@@ -9,6 +9,9 @@ Three layers, each held against an exact small-degree oracle:
 * :func:`repro.simulation.sampling.sampled_pancake_estimate` against
   per-pair BFS ground truth (exact tier) and against the exact sweep's
   verdicts for every truncated-tier classification;
+* :class:`repro.simulation.sampled_campaign.CayleyBall` -- the translated
+  identity ball and its ball-local fault flood -- against
+  :func:`bounded_bfs_ball` sweeps from the same origin;
 * :func:`repro.simulation.sampled_campaign.sampled_fault_campaign` and the
   SAMPLED-FAULT / SAMPLED-STRETCH / RANKING experiments: accounting
   identity, zero-fault oracles, sub-connectivity oracle, chunk and backend
@@ -26,6 +29,7 @@ from repro.experiments.registry import get_spec, list_experiments, run_experimen
 from repro.simulation.rerouting import masked_bfs_distances
 from repro.simulation.sampled_campaign import (
     SAMPLED_CAMPAIGN_FAMILIES,
+    cayley_ball,
     sampled_campaign_instances,
     sampled_fault_campaign,
 )
@@ -35,8 +39,14 @@ from repro.simulation.sampling import (
     sampled_pancake_estimate,
 )
 from repro.simulation.stats import derive_trial_seed
-from repro.topology.cayley import PancakeGraph
-from repro.topology.routing import bounded_bfs_ball, index_bfs_distances
+from repro.topology.cayley import BubbleSortGraph, PancakeGraph
+from repro.topology.hypercube import Hypercube
+from repro.topology.routing import (
+    ImplicitNeighborSource,
+    TableNeighborSource,
+    bounded_bfs_ball,
+    index_bfs_distances,
+)
 from repro.topology.star import StarGraph
 
 HEAVY = bool(os.environ.get("REPRO_HEAVY_TESTS"))
@@ -147,6 +157,187 @@ class TestBoundedBall:
             np.asarray(implicit_ball.distances), np.asarray(table_ball.distances)
         )
         assert implicit_ball.truncated == table_ball.truncated
+
+
+class TestTruncationProbe:
+    """``truncated`` against the whole-graph masked sweep, at every depth.
+
+    The probe stops at the first unvisited, non-excluded neighbour; a ball
+    with nothing beyond the cap probes its whole last level.  Both paths
+    must agree with "the masked sweep reaches some node deeper than the cap"
+    -- for every block schedule the chunk size allows.
+    """
+
+    @pytest.mark.parametrize("graph_class", [StarGraph, PancakeGraph, BubbleSortGraph])
+    def test_truncated_iff_masked_sweep_goes_deeper(self, graph_class):
+        graph = graph_class(5)
+        table = graph.neighbor_index_table()
+        source = TableNeighborSource(table)
+        diameter = int(_full_sweep(graph).max())
+        rng = np.random.default_rng(5)
+        for fault_count in (0, 3, 20, 60):
+            origin = int(rng.integers(graph.num_nodes))
+            others = np.delete(np.arange(graph.num_nodes), origin)
+            faults = np.sort(rng.choice(others, size=fault_count, replace=False))
+            alive = np.ones(graph.num_nodes, dtype=bool)
+            alive[faults] = False
+            full = np.asarray(
+                index_bfs_distances(table, graph.num_nodes, origin, alive_mask=alive)
+            )
+            for depth in range(diameter + 2):
+                expected_nodes = np.flatnonzero((full >= 0) & (full <= depth))
+                for chunk in (1, 7, 10**9):
+                    ball = bounded_bfs_ball(
+                        source,
+                        origin,
+                        max_depth=depth,
+                        excluded=faults,
+                        chunk_nodes=chunk,
+                    )
+                    assert ball.truncated == bool(full.max() > depth)
+                    assert np.array_equal(ball.nodes, expected_nodes)
+                    assert np.array_equal(ball.distances, full[expected_nodes])
+
+    def test_probe_reaches_late_blocks(self):
+        # Level 4 of S_7 holds 460 nodes, probed in blocks of 64, 256 and
+        # 140.  Cutting every level-5 node leaves nothing beyond the cap (the
+        # probe expands all blocks); cutting only those next to the first
+        # two blocks leaves survivors that only the last block can find.
+        star = StarGraph(7)
+        table = star.neighbor_index_table()
+        full = _full_sweep(star)
+        level4 = np.flatnonzero(full == 4)
+        level5 = np.flatnonzero(full == 5)
+        assert level4.size == 460
+        early = np.intersect1d(level5, table[level4[:320]])
+        for faults, beyond in ((level5, False), (early, True)):
+            alive = np.ones(star.num_nodes, dtype=bool)
+            alive[faults] = False
+            masked = np.asarray(
+                index_bfs_distances(table, star.num_nodes, 0, alive_mask=alive)
+            )
+            assert bool(masked.max() > 4) == beyond
+            ball = bounded_bfs_ball(
+                TableNeighborSource(table), 0, max_depth=4, excluded=faults
+            )
+            assert ball.truncated == beyond
+
+
+def _seeded_faults(rng, ball, origin, count):
+    """*count* distinct non-origin nodes of *ball*, sorted."""
+    others = ball.nodes[ball.nodes != origin]
+    return np.sort(rng.choice(others, size=count, replace=False))
+
+
+def _identity_mask(ball, order, faults):
+    """Boolean identity-frame mask of *faults* (origin-frame ranks in *ball*)."""
+    excluded = np.zeros(ball.size, dtype=bool)
+    excluded[order[np.searchsorted(ball.nodes, faults)]] = True
+    return excluded
+
+
+class TestCayleyBall:
+    """The translated identity ball and its local flood equal real sweeps."""
+
+    @pytest.mark.parametrize("family", SAMPLED_CAMPAIGN_FAMILIES)
+    @pytest.mark.parametrize("n, depth", [(6, 3), (6, 16), (13, 3)])
+    def test_translation_and_flood_match_bounded_bfs_ball(self, family, n, depth):
+        _name, topology = sampled_campaign_instances(n)[family]
+        if n <= 6:
+            source = TableNeighborSource(topology.neighbor_index_table())
+        else:
+            source = ImplicitNeighborSource(topology.generators, n)
+        engine = cayley_ball(topology, depth)
+        identity = bounded_bfs_ball(source, 0, max_depth=depth)
+        assert np.array_equal(engine.ball.nodes, identity.nodes)
+        assert np.array_equal(engine.ball.distances, identity.distances)
+        rng = np.random.default_rng(derive_trial_seed(17, family, n, depth))
+        for origin in rng.integers(0, topology.num_nodes, size=3):
+            origin = int(origin)
+            healthy, order = engine.translate(origin)
+            reference = bounded_bfs_ball(source, origin, max_depth=depth)
+            assert np.array_equal(healthy.nodes, reference.nodes)
+            assert np.array_equal(healthy.distances, reference.distances)
+            assert healthy.truncated == reference.truncated
+            assert healthy.levels == reference.levels
+            for fault_count in sorted({1, n - 1, 16, healthy.size // 2}):
+                faults = _seeded_faults(rng, healthy, origin, fault_count)
+                flooded, truncated = engine.flood(
+                    _identity_mask(healthy, order, faults)
+                )
+                faulted = bounded_bfs_ball(
+                    source, origin, max_depth=depth, excluded=faults
+                )
+                assert np.array_equal(
+                    flooded[order], faulted.distance_of(healthy.nodes)
+                )
+                assert truncated == faulted.truncated
+
+    @pytest.mark.parametrize("family", SAMPLED_CAMPAIGN_FAMILIES)
+    def test_flood_matches_masked_whole_graph_sweep_at_every_depth(self, family):
+        # Faults come from the ball, as in a campaign.  Past the eccentricity
+        # the ball is the whole graph with no -1 neighbour, so ``truncated``
+        # rests on the unvisited neighbours alone and must skip the faults.
+        _name, topology = sampled_campaign_instances(5)[family]
+        table = topology.neighbor_index_table()
+        diameter = int(_full_sweep(topology).max())
+        rng = np.random.default_rng(derive_trial_seed(23, family))
+        for depth in range(1, diameter + 2):
+            engine = cayley_ball(topology, depth)
+            for fault_count in (0, 4, 30, 60):
+                origin = int(rng.integers(topology.num_nodes))
+                healthy, order = engine.translate(origin)
+                faults = _seeded_faults(
+                    rng, healthy, origin, min(fault_count, healthy.size - 1)
+                )
+                alive = np.ones(topology.num_nodes, dtype=bool)
+                alive[faults] = False
+                masked = np.asarray(
+                    index_bfs_distances(
+                        table, topology.num_nodes, origin, alive_mask=alive
+                    )
+                )
+                flooded, truncated = engine.flood(
+                    _identity_mask(healthy, order, faults)
+                )
+                expected = masked[healthy.nodes]
+                expected[expected > depth] = -1
+                assert np.array_equal(flooded[order], expected)
+                assert truncated == bool(masked.max() > depth)
+
+    def test_translation_is_chunk_invariant(self):
+        _name, topology = sampled_campaign_instances(7)["pancake"]
+        engine = cayley_ball(topology, 3)
+        reference, reference_order = engine.translate(1234)
+        for chunk in (1, 7, 10**9):
+            healthy, order = engine.translate(1234, chunk_nodes=chunk)
+            assert np.array_equal(healthy.nodes, reference.nodes)
+            assert np.array_equal(order, reference_order)
+
+    @pytest.mark.parametrize("family", SAMPLED_CAMPAIGN_FAMILIES)
+    def test_origin_cut_leaves_an_untruncated_singleton(self, family):
+        _name, topology = sampled_campaign_instances(6)[family]
+        engine = cayley_ball(topology, 3)
+        origin = 321
+        healthy, order = engine.translate(origin)
+        neighbors = np.sort(
+            np.asarray(topology.neighbor_source().neighbor_block([origin])).reshape(-1)
+        )
+        flooded, truncated = engine.flood(_identity_mask(healthy, order, neighbors))
+        assert np.flatnonzero(flooded >= 0).tolist() == [0]
+        assert not truncated
+
+    def test_campaign_rejects_a_non_cayley_topology(self):
+        with pytest.raises(InvalidParameterError, match="Cayley graph"):
+            sampled_fault_campaign(
+                Hypercube(5),
+                fault_counts=(0,),
+                trials=1,
+                pairs_per_trial=1,
+                depth=2,
+                seed=1,
+                label="cube/5",
+            )
 
 
 class TestPancakeEstimator:

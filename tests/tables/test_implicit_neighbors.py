@@ -78,6 +78,15 @@ class TestRankBatch:
         perms = permutations_slice(0, math.factorial(5), 5)
         assert np.array_equal(rank_batch(perms), np.arange(math.factorial(5)))
 
+    @pytest.mark.parametrize("n", [1, 2, 20])
+    def test_matches_scalar_rank_at_the_degree_extremes(self, n):
+        # Degree 20 is the int64 rank ceiling: the widest symbol bitmask and
+        # popcount table the encode uses.
+        rng = _rng(7 + n)
+        rows = np.asarray([rng.permutation(n) for _ in range(64)], dtype=np.int8)
+        expected = [permutation_rank(tuple(map(int, row))) for row in rows]
+        assert list(map(int, rank_batch(rows))) == expected
+
     def test_accepts_nested_sequences(self):
         rows = [(1, 0, 2, 3), (3, 2, 1, 0), (0, 1, 2, 3)]
         expected = [permutation_rank(row) for row in rows]

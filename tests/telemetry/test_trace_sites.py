@@ -24,6 +24,7 @@ from repro.experiments.artifacts import ArtifactStore
 from repro.experiments.runner import plan_shards, run_shards
 from repro.permutations.ranking import star_position_generators
 from repro.simulation.campaign import connectivity_campaign, stretch_campaign
+from repro.simulation.sampled_campaign import _identity_ball
 from repro.simulation.sampling import sampled_pair_distances
 from repro.tables import build_move_tables, open_move_tables
 from repro.topology.routing import index_bfs_distances, star_distances_from
@@ -280,3 +281,34 @@ class TestTracingChangesNothing:
         traced = connectivity_campaign(StarGraph(4), **kwargs)
         telemetry.disable()
         assert traced == untraced
+
+    def test_sampled_campaign_builds_each_ball_once_and_traces_change_nothing(
+        self, tmp_path
+    ):
+        shards = plan_shards(
+            ["SAMPLED-FAULT"],
+            profile="fast",
+            overrides={"sizes": [7], "trials": 3, "pairs_per_trial": 2},
+        )
+        untraced = self._payloads(run_shards(shards))
+
+        # Cold cache: the first run builds one identity ball per family (a
+        # miss each); the second finds all three cached.
+        _identity_ball.cache_clear()
+        path = tmp_path / "sampled.jsonl"
+        telemetry.enable(path)
+        traced = self._payloads(run_shards(shards))
+        rerun = self._payloads(run_shards(shards))
+        telemetry.disable()
+        assert traced == untraced and rerun == untraced
+
+        events = telemetry.load_trace(path)
+        telemetry.validate_trace_events(events)
+        lookups = [e["name"] for e in events if e["name"].startswith("cayley_ball.")]
+        assert lookups == ["cayley_ball.cache_miss"] * 3 + ["cayley_ball.cache_hit"] * 3
+        builds = [e for e in events if e["name"] == "kernel.cayley_ball"]
+        assert len(builds) == 3
+        for build in builds:
+            attrs = build["attrs"]
+            assert attrs["n"] == 7 and attrs["depth"] == 3 and attrs["levels"] == 3
+            assert attrs["table_bytes"] == attrs["reached"] * 6 * 4
